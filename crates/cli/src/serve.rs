@@ -35,10 +35,14 @@
 //! ```
 //!
 //! Every reply carries `"ok"` and, once a session exists, `"degraded"`.
-//! Programs are interned with `Box::leak` — the resident session needs
-//! `'static` borrows, and a daemon's working set is the current program
-//! plus one abandoned candidate per failed resolve (reclaimed only at
-//! process exit; bounded in practice by the resolve failure count).
+//! Programs are interned with `Box::leak` because the resident session
+//! needs `'static` borrows. Every `load` and every `resolve` leaks the
+//! program it solves, successful or not: a resolve's patched program
+//! becomes the new resident program, but the one it replaces is never
+//! freed. Memory therefore grows with the number of requests served,
+//! about 3.45 MB per resolve on jedit, until the process exits. Bounding
+//! it needs the solver to own its program (`Arc<Program>`); see ROADMAP
+//! item 1.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};

@@ -3,9 +3,9 @@
 //! (#reach-mtd), devirtualization (#poly-call), and call-graph construction
 //! (#call-edge). For every metric, smaller is better.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
-use csc_ir::{CallKind, CallSiteId, CastId, Program, Type};
+use csc_ir::{CallKind, CallSiteId, CastId, MethodId, ObjId, Program, Type, VarId};
 
 use crate::solver::PtaResult;
 
@@ -26,18 +26,30 @@ pub struct PrecisionMetrics {
 impl PrecisionMetrics {
     /// Computes all four metrics from an analysis result.
     pub fn compute(result: &PtaResult<'_>) -> Self {
-        let program = result.state.program;
-        PrecisionMetrics {
-            fail_casts: fail_casts(result).len(),
-            reach_methods: result.state.reachable_methods_projected().len(),
-            poly_calls: poly_calls(result).len(),
-            call_edges: result.state.call_edges_projected().len(),
-        }
-        .validate(program)
+        let state = &result.state;
+        let index = state.var_ptr_index();
+        PrecisionMetrics::from_projections(
+            state.program,
+            &state.reachable_methods_projected(),
+            &state.call_edges_projected(),
+            |v| index.pt_var_projected(v),
+        )
     }
 
-    fn validate(self, _program: &Program) -> Self {
-        self
+    /// Derives the metrics from already-projected tables: the reachable
+    /// methods, the call-graph edges, and a per-variable points-to lookup.
+    pub(crate) fn from_projections<P: AsRef<[ObjId]>>(
+        program: &Program,
+        reachable: &BTreeSet<MethodId>,
+        call_edges: &BTreeSet<(CallSiteId, MethodId)>,
+        pt: impl FnMut(VarId) -> P,
+    ) -> Self {
+        PrecisionMetrics {
+            fail_casts: fail_casts_with(program, reachable, pt).len(),
+            reach_methods: reachable.len(),
+            poly_calls: poly_sites(program, call_edges.iter().copied()).len(),
+            call_edges: call_edges.len(),
+        }
     }
 }
 
@@ -46,15 +58,26 @@ impl PrecisionMetrics {
 /// A cast `x = (T) y` may fail iff some object in `pt(y)` (restricted to
 /// casts in reachable methods) is not a subtype of `T`.
 pub fn fail_casts(result: &PtaResult<'_>) -> HashSet<CastId> {
-    let program = result.state.program;
-    let reachable = result.state.reachable_methods_projected();
+    let state = &result.state;
+    let index = state.var_ptr_index();
+    fail_casts_with(state.program, &state.reachable_methods_projected(), |v| {
+        index.pt_var_projected(v)
+    })
+}
+
+/// [`fail_casts`] over a reachable-method set and a per-variable
+/// points-to lookup.
+fn fail_casts_with<P: AsRef<[ObjId]>>(
+    program: &Program,
+    reachable: &BTreeSet<MethodId>,
+    mut pt: impl FnMut(VarId) -> P,
+) -> HashSet<CastId> {
     let mut out = HashSet::new();
     for (i, cast) in program.casts().iter().enumerate() {
         if !reachable.contains(&cast.method()) {
             continue;
         }
-        let pt = result.state.pt_var_projected(cast.rhs());
-        let may_fail = pt.iter().any(|&o| {
+        let may_fail = pt(cast.rhs()).as_ref().iter().any(|&o| {
             let ty = Type::Class(program.obj(o).class());
             !program.is_subtype(ty, cast.ty())
         });
@@ -67,10 +90,23 @@ pub fn fail_casts(result: &PtaResult<'_>) -> HashSet<CastId> {
 
 /// The virtual call sites that resolve to more than one callee.
 pub fn poly_calls(result: &PtaResult<'_>) -> HashSet<CallSiteId> {
-    let program = result.state.program;
-    let mut targets: Vec<HashSet<csc_ir::MethodId>> =
-        vec![HashSet::new(); program.call_sites().len()];
-    for &(_, site, _, callee) in result.state.call_edges() {
+    poly_sites(
+        result.state.program,
+        result
+            .state
+            .call_edges()
+            .iter()
+            .map(|&(_, site, _, callee)| (site, callee)),
+    )
+}
+
+/// [`poly_calls`] over `(call site, callee)` edges (duplicates allowed).
+fn poly_sites(
+    program: &Program,
+    edges: impl Iterator<Item = (CallSiteId, MethodId)>,
+) -> HashSet<CallSiteId> {
+    let mut targets: Vec<HashSet<MethodId>> = vec![HashSet::new(); program.call_sites().len()];
+    for (site, callee) in edges {
         targets[site.index()].insert(callee);
     }
     let mut out = HashSet::new();

@@ -82,7 +82,7 @@ pub use solver::incr::Resolved;
 pub use solver::{
     Budget, CsObjId, DiscoverCtx, EdgeKind, Engine, Event, FallbackReason, NoPlugin, Plugin,
     PtaResult, PtrId, PtrKey, Reaction, ShortcutKind, SolveError, SolveStatus, Solver,
-    SolverOptions, SolverState, SolverStats,
+    SolverOptions, SolverState, SolverStats, VarPtrIndex,
 };
 pub use steal::Quiesce;
 pub use table::{ShardKey, ShardedTable};

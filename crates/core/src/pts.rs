@@ -754,7 +754,13 @@ impl PointsToSet {
     }
 
     /// Builds a set from an already sorted, deduplicated vector.
-    fn from_sorted(mut elems: Vec<u32>) -> Self {
+    fn from_sorted(elems: Vec<u32>) -> Self {
+        PointsToSet::from_sorted_in(elems, default_repr())
+    }
+
+    /// [`Self::from_sorted`] promoting to an explicit large representation
+    /// instead of the process default.
+    fn from_sorted_in(mut elems: Vec<u32>, repr: PtsRepr) -> Self {
         if elems.len() <= SMALL_MAX {
             // Deltas built by push can carry growth slack; keep persistent
             // small sets trimmed.
@@ -766,7 +772,7 @@ impl PointsToSet {
             };
         }
         PointsToSet {
-            repr: match default_repr() {
+            repr: match repr {
                 PtsRepr::Chunked => Repr::Chunked(ChunkedSet::from_sorted(&elems)),
                 PtsRepr::Legacy => {
                     let mut bits = BitSet::with_capacity_for(*elems.last().unwrap());
@@ -1253,6 +1259,19 @@ impl FromIterator<u32> for PointsToSet {
     }
 }
 
+#[cfg(test)]
+impl PointsToSet {
+    /// Collects a set whose large tier is `repr` regardless of the process
+    /// default, so a test can build both representations without flipping
+    /// state that concurrent solves in the same binary also write.
+    fn collect_in(iter: impl IntoIterator<Item = u32>, repr: PtsRepr) -> Self {
+        let mut elems: Vec<u32> = iter.into_iter().collect();
+        elems.sort_unstable();
+        elems.dedup();
+        PointsToSet::from_sorted_in(elems, repr)
+    }
+}
+
 impl Extend<u32> for PointsToSet {
     fn extend<T: IntoIterator<Item = u32>>(&mut self, iter: T) {
         // Collect-sort-merge: one O(k log k) sort plus one linear union
@@ -1372,10 +1391,8 @@ mod tests {
     fn union_across_mixed_large_representations() {
         // A legacy-bitmap set and a chunked set must union element-exactly
         // in both directions (the process default can flip between solves).
-        set_default_repr(PtsRepr::Legacy);
-        let legacy: PointsToSet = (0..300u32).step_by(2).collect();
-        set_default_repr(PtsRepr::Chunked);
-        let chunked: PointsToSet = (0..9000u32).step_by(3).collect();
+        let legacy = PointsToSet::collect_in((0..300u32).step_by(2), PtsRepr::Legacy);
+        let chunked = PointsToSet::collect_in((0..9000u32).step_by(3), PtsRepr::Chunked);
         assert!(matches!(legacy.repr, Repr::Bits(_)));
         assert!(matches!(chunked.repr, Repr::Chunked(_)));
 
@@ -1407,7 +1424,7 @@ mod tests {
             .map(|i| i * 1_000_003)
             .chain(4_000_000..4_000_200)
             .collect();
-        let s: PointsToSet = elems.iter().copied().collect();
+        let s = PointsToSet::collect_in(elems.iter().copied(), PtsRepr::Chunked);
         let mut sorted = elems.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -1430,8 +1447,7 @@ mod tests {
     fn cow_clone_shares_then_diverges() {
         // Cloning a chunked set shares its dense blocks; mutating the
         // clone must never perturb the original.
-        set_default_repr(PtsRepr::Chunked);
-        let a: PointsToSet = (0..2000u32).collect();
+        let a = PointsToSet::collect_in(0..2000u32, PtsRepr::Chunked);
         let before: Vec<u32> = a.iter().collect();
         let mut b = a.clone();
         let mut acc = crate::mem::PtsAccount::default();
@@ -1451,8 +1467,7 @@ mod tests {
     fn union_into_empty_shares_blocks() {
         // The 2obj context-copy shape: unioning a large set into an empty
         // accumulator adopts its dense blocks by reference.
-        set_default_repr(PtsRepr::Chunked);
-        let base: PointsToSet = (0..3000u32).collect();
+        let base = PointsToSet::collect_in(0..3000u32, PtsRepr::Chunked);
         let mut copy = PointsToSet::new();
         assert!(copy.union_with(&base));
         assert_eq!(copy, base);

@@ -59,20 +59,27 @@ pub struct SolvedSummary {
 
 impl SolvedSummary {
     /// Captures the summary of a (completed) result.
+    ///
+    /// Every table is projected once — points-to sets through one
+    /// [`crate::solver::VarPtrIndex`] — and the metrics are derived from
+    /// those tables rather than projected again.
     pub fn capture(program: &Program, result: &PtaResult<'_>) -> Self {
-        let pts = (0..program.vars().len())
-            .map(|i| result.state.pt_var_projected(VarId::from_usize(i)))
+        let state = &result.state;
+        let index = state.var_ptr_index();
+        let pts: Vec<Vec<ObjId>> = (0..program.vars().len())
+            .map(|i| index.pt_var_projected(VarId::from_usize(i)))
             .collect();
+        let reachable = state.reachable_methods_projected();
+        let call_edges = state.call_edges_projected();
+        let metrics = PrecisionMetrics::from_projections(program, &reachable, &call_edges, |v| {
+            pts[v.index()].as_slice()
+        });
         SolvedSummary {
             analysis: result.analysis.clone(),
             pts,
-            reachable: result
-                .state
-                .reachable_methods_projected()
-                .into_iter()
-                .collect(),
-            call_edges: result.state.call_edges_projected().into_iter().collect(),
-            metrics: PrecisionMetrics::compute(result),
+            reachable: reachable.into_iter().collect(),
+            call_edges: call_edges.into_iter().collect(),
+            metrics,
         }
     }
 

@@ -2456,22 +2456,38 @@ impl<'p> SolverState<'p> {
     /// Union of `pt(c:v)` over all contexts `c`, projected to allocation
     /// sites — sorted and deduplicated, so downstream tables and snapshots
     /// are deterministic.
+    ///
+    /// Scans every pointer to find `v`'s: fine for a handful of variables.
+    /// Projecting many variables goes through [`Self::var_ptr_index`],
+    /// which pays that scan once.
     pub fn pt_var_projected(&self, v: VarId) -> Vec<ObjId> {
+        self.project_ptrs(self.ptr_keys.iter().enumerate().filter_map(|(i, key)| {
+            matches!(key, PtrKey::Var(_, var) if *var == v).then_some(i as u32)
+        }))
+    }
+
+    /// The projection both [`Self::pt_var_projected`] and
+    /// [`VarPtrIndex::pt_var_projected`] share: the union of the given
+    /// pointers' sets mapped to allocation sites, sorted and deduplicated.
+    fn project_ptrs(&self, ptrs: impl Iterator<Item = u32>) -> Vec<ObjId> {
         let mut out: Vec<ObjId> = Vec::new();
-        for (i, key) in self.ptr_keys.iter().enumerate() {
-            if let PtrKey::Var(_, var) = key {
-                if *var == v {
-                    // Fan collapsed members back out to their
-                    // representative's shared set at projection time.
-                    for o in self.slots.pts(self.reps.find(i as u32)).iter() {
-                        out.push(self.obj_keys[o as usize].1);
-                    }
-                }
+        for p in ptrs {
+            // Fan collapsed members back out to their representative's
+            // shared set at projection time.
+            for o in self.slots.pts(self.reps.find(p)).iter() {
+                out.push(self.obj_keys[o as usize].1);
             }
         }
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// Builds the variable → pointer index in one pass over the interned
+    /// pointers. It borrows the state, so it cannot outlive (or go stale
+    /// under) a later mutation.
+    pub fn var_ptr_index(&self) -> VarPtrIndex<'_, 'p> {
+        VarPtrIndex::build(self)
     }
 
     /// Context-insensitive projection of the reachable-method set (ordered).
@@ -2485,6 +2501,61 @@ impl<'p> SolverState<'p> {
             .iter()
             .map(|&(_, site, _, callee)| (site, callee))
             .collect()
+    }
+}
+
+/// Each variable's context-qualified pointers, grouped by variable
+/// (compressed-sparse-row layout: `ptrs[offsets[v]..offsets[v + 1]]`).
+///
+/// A counting sort over the pointer keys builds it in O(pointers);
+/// [`PtrKey::Dead`] slots and field pointers are skipped. Projecting a
+/// variable through it then costs only that variable's pointers, so
+/// projecting every variable is linear instead of vars × pointers.
+pub struct VarPtrIndex<'s, 'p> {
+    state: &'s SolverState<'p>,
+    offsets: Vec<u32>,
+    ptrs: Vec<u32>,
+}
+
+impl<'s, 'p> VarPtrIndex<'s, 'p> {
+    fn build(state: &'s SolverState<'p>) -> Self {
+        let nvars = state.program.vars().len();
+        let mut offsets = vec![0u32; nvars + 1];
+        for key in &state.ptr_keys {
+            if let PtrKey::Var(_, v) = key {
+                offsets[v.index() + 1] += 1;
+            }
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        // Fill with `offsets[v]` as v's write cursor; afterwards it points
+        // at v's end (= v + 1's start), so one shift restores the starts.
+        let mut ptrs = vec![0u32; offsets[nvars] as usize];
+        for (i, key) in state.ptr_keys.iter().enumerate() {
+            if let PtrKey::Var(_, v) = key {
+                let cursor = &mut offsets[v.index()];
+                ptrs[*cursor as usize] = i as u32;
+                *cursor += 1;
+            }
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        VarPtrIndex {
+            state,
+            offsets,
+            ptrs,
+        }
+    }
+
+    /// Equal to [`SolverState::pt_var_projected`] for `v`, without the
+    /// scan over every pointer.
+    pub fn pt_var_projected(&self, v: VarId) -> Vec<ObjId> {
+        let ptrs = match self.offsets.get(v.index() + 1) {
+            Some(&end) => &self.ptrs[self.offsets[v.index()] as usize..end as usize],
+            None => &[],
+        };
+        self.state.project_ptrs(ptrs.iter().copied())
     }
 }
 

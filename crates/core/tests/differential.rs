@@ -51,10 +51,11 @@ struct Projections {
 
 impl Projections {
     fn capture(program: &Program, result: &PtaResult<'_>) -> Self {
+        let index = result.state.var_ptr_index();
         let pts = (0..program.vars().len())
             .map(|i| {
                 let v = VarId::from_usize(i);
-                (v, result.state.pt_var_projected(v))
+                (v, index.pt_var_projected(v))
             })
             .collect();
         Projections {

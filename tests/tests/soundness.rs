@@ -71,11 +71,13 @@ fn csc_results_subset_of_ci() {
             bench.name
         );
         // Per-variable points-to sets shrink.
+        let ci_index = ci.result.state.var_ptr_index();
+        let csc_index = csc.result.state.var_ptr_index();
         for m in 0..program.methods().len() {
             let m = csc_ir::MethodId::from_usize(m);
             for &v in program.method(m).vars() {
-                let ci_pt = ci.result.state.pt_var_projected(v);
-                let csc_pt = csc.result.state.pt_var_projected(v);
+                let ci_pt = ci_index.pt_var_projected(v);
+                let csc_pt = csc_index.pt_var_projected(v);
                 // Both projections are sorted vectors.
                 assert!(
                     csc_pt.iter().all(|o| ci_pt.binary_search(o).is_ok()),
